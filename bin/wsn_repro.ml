@@ -404,10 +404,13 @@ let scale_cmd =
   in
   let max_iterations =
     let doc =
-      "Cap on master solves per query (0 = library default).  Heuristic tiers are \
-       anytime: a cap trades wall time for bracket gap."
+      "Cap on master solves per query (default 40, the cap the scale and master \
+       benches put on their 1000-node rows; 0 = uncapped, i.e. run to certification \
+       under the library's 1000-iteration safety limit).  Heuristic tiers are anytime: \
+       a capped row reports its current lower bound with certified=false, trading \
+       bracket gap for wall time."
     in
-    Arg.(value & opt int 0 & info [ "max-iterations" ] ~docv:"N" ~doc)
+    Arg.(value & opt int 40 & info [ "max-iterations" ] ~docv:"N" ~doc)
   in
   let run telem domains seed ns pricer shards max_iterations lp_pricing stabilize =
     with_common telem domains @@ fun () ->

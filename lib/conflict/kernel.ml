@@ -77,6 +77,7 @@ let interf_row k i =
   end
 
 let create topo =
+  Wsn_telemetry.Span.with_span "kernel.build" @@ fun () ->
   Telemetry.incr m_builds;
   let phy = Topology.phy topo in
   let rates = Phy.rates phy in
@@ -258,31 +259,57 @@ let feasible k assignment =
 (* --- incremental construction -------------------------------------- *)
 
 module Inc = struct
-  (* Undo frames store the exact previous sums and rates, so
+  (* Member, sum and rate arrays start at [init_cap] and double with the
+     set, so a builder costs what its set holds, not [n_links].  Undo
+     state lives on one flat stack: every successful add pushes the
+     exact previous sums and rates of the members it found (the newest
+     member is always the added link, so a frame needs no header), and
      add-then-undo restores bit-identical state (no float drift from
      re-subtraction). *)
-  type frame = { f_link : int; saved_isum : float array; saved_rate : int array }
-
   type state = {
     k : t;
     set : Bitset.t;
-    members_ : int array;
-    isum : float array;
-    rate : int array;
+    mutable members_ : int array;
+    mutable isum : float array;
+    mutable rate : int array;
     mutable count : int;
-    mutable frames : frame list;
+    mutable saved_isum : float array;
+    mutable saved_rate : int array;
+    mutable saved_top : int;
   }
+
+  let init_cap = 8
 
   let start k =
     {
       k;
       set = Bitset.create k.n_links;
-      members_ = Array.make (max 1 k.n_links) 0;
-      isum = Array.make (max 1 k.n_links) 0.0;
-      rate = Array.make (max 1 k.n_links) 0;
+      members_ = Array.make init_cap 0;
+      isum = Array.make init_cap 0.0;
+      rate = Array.make init_cap 0;
       count = 0;
-      frames = [];
+      saved_isum = Array.make init_cap 0.0;
+      saved_rate = Array.make init_cap 0;
+      saved_top = 0;
     }
+
+  let grow a n fill =
+    if Array.length a >= n then a
+    else begin
+      let a' = Array.make (max n (2 * Array.length a)) fill in
+      Array.blit a 0 a' 0 (Array.length a);
+      a'
+    end
+
+  (* Room for [n] members, and for one more undo frame of the current
+     members on the stack. *)
+  let reserve st n =
+    st.members_ <- grow st.members_ n 0;
+    st.isum <- grow st.isum n 0.0;
+    st.rate <- grow st.rate n 0;
+    let top = st.saved_top + st.count in
+    st.saved_isum <- grow st.saved_isum top 0.0;
+    st.saved_rate <- grow st.saved_rate top 0
 
   let size st = st.count
 
@@ -322,15 +349,17 @@ module Inc = struct
         let row_l = interf_row k l in
         (* Each member gains one interference term; anti-monotonicity
            means only the members' rates need rechecking — never the
-           pairings already validated. *)
-        let saved_isum = Array.make st.count 0.0 in
-        let saved_rate = Array.make st.count 0 in
+           pairings already validated.  The previous values go on the
+           undo stack as they are overwritten; a rejection reads them
+           back without pushing the frame. *)
+        reserve st (st.count + 1);
+        let top = st.saved_top in
         let ok = ref true in
         let p = ref 0 in
         while !ok && !p < st.count do
           let m = st.members_.(!p) in
-          saved_isum.(!p) <- st.isum.(!p);
-          saved_rate.(!p) <- st.rate.(!p);
+          st.saved_isum.(top + !p) <- st.isum.(!p);
+          st.saved_rate.(top + !p) <- st.rate.(!p);
           let s = st.isum.(!p) +. row_l.(m) in
           (* O(1) recheck before the full scan: growing interference
              can only slow a link down, so when the current maximum
@@ -353,10 +382,8 @@ module Inc = struct
                incr p)
         done;
         if not !ok then begin
-          for q = 0 to !p - 1 do
-            st.isum.(q) <- saved_isum.(q);
-            st.rate.(q) <- saved_rate.(q)
-          done;
+          Array.blit st.saved_isum top st.isum 0 !p;
+          Array.blit st.saved_rate top st.rate 0 !p;
           Telemetry.incr m_inc_rejects;
           false
         end
@@ -364,9 +391,9 @@ module Inc = struct
           st.members_.(st.count) <- l;
           st.isum.(st.count) <- !il;
           st.rate.(st.count) <- rl;
+          st.saved_top <- top + st.count;
           st.count <- st.count + 1;
           Bitset.add st.set l;
-          st.frames <- { f_link = l; saved_isum; saved_rate } :: st.frames;
           Telemetry.incr m_inc_adds;
           true
         end
@@ -401,8 +428,10 @@ module Inc = struct
       | Some (Some e) ->
         Telemetry.incr m_cache_hits;
         let n = Array.length e.e_links in
-        let saved_isum = Array.sub st.isum 0 st.count in
-        let saved_rate = Array.sub st.rate 0 st.count in
+        reserve st n;
+        Array.blit st.isum 0 st.saved_isum st.saved_top st.count;
+        Array.blit st.rate 0 st.saved_rate st.saved_top st.count;
+        st.saved_top <- st.saved_top + st.count;
         (* Members ascending = insertion order here; reload rates from
            the entry and rebuild the interference sums by pure addition
            (ascending order, as both [compute_entry] and the incremental
@@ -418,7 +447,6 @@ module Inc = struct
           st.isum.(j) <- !s
         done;
         st.count <- n;
-        st.frames <- { f_link = l; saved_isum; saved_rate } :: st.frames;
         Telemetry.incr m_inc_adds;
         true
       | None ->
@@ -445,14 +473,10 @@ module Inc = struct
     end
 
   let undo st =
-    match st.frames with
-    | [] -> invalid_arg "Kernel.Inc.undo: empty set"
-    | f :: rest ->
-      st.frames <- rest;
-      st.count <- st.count - 1;
-      Bitset.remove st.set f.f_link;
-      for p = 0 to st.count - 1 do
-        st.isum.(p) <- f.saved_isum.(p);
-        st.rate.(p) <- f.saved_rate.(p)
-      done
+    if st.count = 0 then invalid_arg "Kernel.Inc.undo: empty set";
+    st.count <- st.count - 1;
+    Bitset.remove st.set st.members_.(st.count);
+    st.saved_top <- st.saved_top - st.count;
+    Array.blit st.saved_isum st.saved_top st.isum 0 st.count;
+    Array.blit st.saved_rate st.saved_top st.rate 0 st.count
 end

@@ -20,6 +20,7 @@ module Pool = Wsn_parallel.Pool
      which occurrence wins. *)
 
 let max_weight_independent ?(eps = 1e-9) model ~weights ~universe =
+  Wsn_telemetry.Span.with_span "pricing.exact" @@ fun () ->
   let tbl = Model.rates model in
   let mbps r = Rate.mbps tbl r in
   (* Candidates: positive-weight live links, best-case value first. *)

@@ -191,13 +191,20 @@ let make_builder model ~weights =
 
 (* Value-aware greedy: accept a candidate only when the set's total
    dual value strictly improves (a new link can slow every member
-   down, so feasible ≠ profitable). *)
+   down, so feasible ≠ profitable).  A rejected add, and an add undone,
+   leave the state bit-identical, so the running value is recomputed
+   only after an add, never before each candidate. *)
 let greedy_extend ~eps b candidates =
+  let value = ref (b.b_value ()) in
   List.iter
     (fun l ->
-      let before = b.b_value () in
       if b.b_add l then begin
-        if b.b_value () > before +. eps then Telemetry.incr m_adds else b.b_undo ()
+        let v = b.b_value () in
+        if v > !value +. eps then begin
+          Telemetry.incr m_adds;
+          value := v
+        end
+        else b.b_undo ()
       end)
     candidates
 
@@ -207,6 +214,7 @@ let force_build b order = List.iter (fun l -> ignore (b.b_add l : bool)) order
 
 let max_weight_independent ?(eps = 1e-9) ?(swap_passes = 2) ?(swap_width = 8)
     ?shards:shard_arg model ~weights ~universe =
+  Wsn_telemetry.Span.with_span "pricing.heuristic" @@ fun () ->
   Telemetry.incr m_calls;
   let tbl = Model.rates model in
   let mbps r = Rate.mbps tbl r in

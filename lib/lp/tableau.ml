@@ -43,7 +43,7 @@ let eps = 1e-9
    objective row; the right-hand side lives at the fixed column [cap]
    (the allocated width), so logical columns can grow to [cap] without
    moving it — columns [ncols .. cap-1] are spare and identically zero,
-   which row operations preserve.  [basis.(i)] is the column basic in
+   and row operations never touch them.  [basis.(i)] is the column basic in
    row [i].  The objective row encodes [z - c·x = 0] (entries [-c_j],
    value cell = current objective of a maximisation), so a column may
    enter while its entry is below -eps. *)
@@ -69,24 +69,33 @@ let reduced_cost tab j = get tab tab.m j
 
 let is_artificial tab j = j >= tab.n_struct && j < tab.n_struct + tab.n_art
 
-(* Row operations over the full allocated width, same float order as
-   the former [Matrix] versions (per-cell [a *. x] / [x +. a *. y]). *)
+(* Row operations over the live width: columns [0, ncols) plus the rhs
+   cell at [cap].  The spare columns [ncols, cap) are identically zero
+   in every row, so skipping them changes no live cell; a pivot costs
+   O(m · ncols) however much capacity [add_column] has reserved.  Same
+   per-cell float order as the former [Matrix] versions ([a *. x] /
+   [x +. a *. y]). *)
 let scale_row tab i a =
   let d = tab.data in
   let base = i * stride tab in
-  for j = base to base + tab.cap do
+  for j = base to base + tab.ncols - 1 do
     Array.unsafe_set d j (a *. Array.unsafe_get d j)
-  done
+  done;
+  let r = base + tab.cap in
+  Array.unsafe_set d r (a *. Array.unsafe_get d r)
 
 let add_scaled_row tab ~src ~dst a =
   if a <> 0.0 then begin
     let d = tab.data in
     let sb = src * stride tab in
     let db = dst * stride tab in
-    for j = 0 to tab.cap do
+    for j = 0 to tab.ncols - 1 do
       Array.unsafe_set d (db + j)
         (Array.unsafe_get d (db + j) +. (a *. Array.unsafe_get d (sb + j)))
-    done
+    done;
+    let c = tab.cap in
+    Array.unsafe_set d (db + c)
+      (Array.unsafe_get d (db + c) +. (a *. Array.unsafe_get d (sb + c)))
   end
 
 (* Eliminate basic columns from the objective row so it holds genuine
@@ -196,6 +205,12 @@ type state = {
   perturb : bool;
   mutable devex_w : float array;  (* Devex reference weights, length = cap *)
   mutable appended : int;
+  mutable snap : float array;
+      (* Rollback buffer of {!save}/{!restore}: the live region, row by
+         row, [ncols + 1] cells each.  Empty until the first save; sized
+         to the tableau's capacity so it grows only when the tableau
+         does. *)
+  snap_basis : int array;
 }
 
 (* Devex reference-weight pricing with a candidate list (partial
@@ -439,7 +454,8 @@ let solve_raw ~pricing ~perturb ~a ~b ~c ~senses =
   let st =
     { tab; n; first_appended = n_struct + n_art; flip; sig_col;
       rhs0 = Array.copy rhs0; pricing; perturb;
-      devex_w = Array.make tab.cap 1.0; appended = 0 }
+      devex_w = Array.make tab.cap 1.0; appended = 0; snap = [||];
+      snap_basis = Array.make m 0 }
   in
   match optimise tab ~allowed:(fun j -> not (is_artificial tab j)) ~iters:m_phase2_iters with
   | Unbounded_phase -> (Unbounded, None)
@@ -506,6 +522,33 @@ let add_column st ~coeffs ~cost =
   st.appended <- st.appended + 1;
   xi
 
+(* Snapshot of the live region (and the basis) into the state's own
+   buffer, for the perturbation rollback and the predict re-pivots.
+   Those runs pivot but append no column, so [ncols] is the same at
+   [restore] and the spare columns are still zero: copying the live
+   cells back restores the tableau exactly. *)
+let save st =
+  let tab = st.tab in
+  let w = tab.ncols + 1 in
+  let need = (tab.m + 1) * w in
+  if Array.length st.snap < need then st.snap <- Array.make ((tab.m + 1) * (tab.cap + 1)) 0.0;
+  let s = stride tab in
+  for i = 0 to tab.m do
+    Array.blit tab.data (i * s) st.snap (i * w) tab.ncols;
+    st.snap.((i * w) + tab.ncols) <- tab.data.((i * s) + tab.cap)
+  done;
+  Array.blit tab.basis 0 st.snap_basis 0 tab.m
+
+let restore st =
+  let tab = st.tab in
+  let w = tab.ncols + 1 in
+  let s = stride tab in
+  for i = 0 to tab.m do
+    Array.blit st.snap (i * w) tab.data (i * s) tab.ncols;
+    tab.data.((i * s) + tab.cap) <- st.snap.((i * w) + tab.ncols)
+  done;
+  Array.blit st.snap_basis 0 tab.basis 0 tab.m
+
 (* Degenerate-pivot perturbation.  When many basic rows sit at zero the
    ratio test keeps picking zero-length steps; shifting those
    right-hand sides by tiny, deterministic, row-dependent amounts makes
@@ -555,8 +598,7 @@ let reoptimize_raw st =
     | Devex -> optimise_devex st ~allowed ~iters:m_phase2_iters
   in
   if st.perturb && degenerate_rows tab >= perturb_threshold then begin
-    let data_snap = Array.copy tab.data in
-    let basis_snap = Array.copy tab.basis in
+    save st;
     let m = float_of_int tab.m in
     for i = 0 to tab.m - 1 do
       if Float.abs (rhs tab i) <= eps then
@@ -565,8 +607,7 @@ let reoptimize_raw st =
     match run () with
     | Finished when cleanup_rhs st -> Finished
     | _ ->
-      Array.blit data_snap 0 tab.data 0 (Array.length data_snap);
-      Array.blit basis_snap 0 tab.basis 0 tab.m;
+      restore st;
       run ()
   end
   else run ()
@@ -590,8 +631,9 @@ let reoptimize st =
    the response of the basic solution to a right-hand-side direction are
    O(m²) reads.  The prediction entry points fall back to a bounded
    re-pivot (dual simplex for rhs moves, primal for cost moves) behind a
-   full snapshot/rollback when the perturbation leaves the range over
-   which the current basis stays optimal. *)
+   snapshot/rollback of the live region ({!save}/{!restore}) when the
+   perturbation leaves the range over which the current basis stays
+   optimal. *)
 
 let basis_snapshot st = Array.copy st.tab.basis
 
@@ -723,8 +765,7 @@ let predict_rhs st ~dir ~t =
       false )
   else begin
     Telemetry.incr m_predict_repivots;
-    let data_snap = Array.copy tab.data in
-    let basis_snap = Array.copy tab.basis in
+    save st;
     for i = 0 to tab.m do
       set tab i tab.cap (rhs tab i +. (t *. g.(i)))
     done;
@@ -744,8 +785,7 @@ let predict_rhs st ~dir ~t =
         | Unbounded_phase -> Unbounded
         | Finished -> extract st)
     in
-    Array.blit data_snap 0 tab.data 0 (Array.length data_snap);
-    Array.blit basis_snap 0 tab.basis 0 tab.m;
+    restore st;
     (outcome, true)
   end
 
@@ -804,8 +844,7 @@ let predict_cost st ~col:xi ~delta =
     end
   else begin
     Telemetry.incr m_predict_repivots;
-    let data_snap = Array.copy tab.data in
-    let basis_snap = Array.copy tab.basis in
+    save st;
     set tab tab.m j (get tab tab.m j -. delta);
     if !row >= 0 then add_scaled_row tab ~src:!row ~dst:tab.m delta;
     let outcome =
@@ -815,7 +854,6 @@ let predict_cost st ~col:xi ~delta =
       | Unbounded_phase -> Unbounded
       | Finished -> extract st
     in
-    Array.blit data_snap 0 tab.data 0 (Array.length data_snap);
-    Array.blit basis_snap 0 tab.basis 0 tab.m;
+    restore st;
     (outcome, true)
   end

@@ -104,7 +104,10 @@ val reoptimize : state -> result
     a heavily degenerate basis shift the zero right-hand sides by tiny
     deterministic amounts and restore exact feasibility afterwards
     (rolling back to the unperturbed tableau if the clean-up fails), so
-    the returned optimum is always an optimum of the exact problem. *)
+    the returned optimum is always an optimum of the exact problem.  A
+    pivot costs O(m · live columns), whatever capacity {!add_column}
+    has reserved, and the rollback copies the live region into a buffer
+    the state owns and reuses. *)
 
 (** {1 Sensitivity analysis}
 
@@ -112,7 +115,8 @@ val reoptimize : state -> result
     optimal basis through the signature columns (which hold B⁻¹e_i), so
     a query costs O(m²) arithmetic and no pivots; the [predict_*]
     entry points additionally fall back to a bounded re-pivot behind a
-    full snapshot/rollback when the perturbation leaves the optimality
+    snapshot/rollback (the state's rollback buffer, shared with
+    {!reoptimize}) when the perturbation leaves the optimality
     range, so the state observable through {!reoptimize} is never
     changed by a prediction.  Row indices refer to the original
     constraint order and sign of {!solve_open}; x indices follow the

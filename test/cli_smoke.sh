@@ -131,6 +131,23 @@ expect_exit 0 "scale runs (dantzig, unstabilised)" \
 strip_secs "$T/stdout" > "$T/scale-ref.txt"
 assert "reference master reproduces the default scale table (sans wall time)" \
   cmp -s "$T/scale-default.txt" "$T/scale-ref.txt"
+# The default iteration cap (40) lets `scale` with no flags finish; it
+# binds only on large rows, so a small table is the same uncapped
+# (explicit 0), and every row states whether it is certified.
+certified_column() { awk 'NR > 2 { print $9 }' "$1"; }
+assert "scale --help documents the default cap of 40" \
+  grep -q "absent=40" <("$BIN" scale --help=plain)
+expect_exit 0 "scale runs uncapped (--max-iterations 0)" \
+  "$BIN" scale -n 12 --seed 7 --max-iterations 0
+strip_secs "$T/stdout" > "$T/scale-uncapped.txt"
+assert "uncapped scale table equals the default-cap one on a small row" \
+  cmp -s "$T/scale-default.txt" "$T/scale-uncapped.txt"
+assert "the default-cap small row is certified" \
+  test "$(certified_column "$T/scale-default.txt")" = true
+expect_exit 0 "scale runs with a binding cap" \
+  "$BIN" scale -n 12,100 --seed 7 --max-iterations 2
+assert "capped rows report certified=false" \
+  test "$(certified_column "$T/stdout" | tr '\n' ' ')" = "false false "
 
 # --- whatif: sensitivity engine exit-code policy and determinism ------
 WHATIF=(whatif -n 12 --seed 7)

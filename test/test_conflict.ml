@@ -414,6 +414,36 @@ let qcheck_kernel_enumeration_matches_naive =
       && catching (fun () -> List.sort compare (Clique.maximal_rate_coupled_cliques fast ~universe))
          = catching (fun () -> List.sort compare (Clique.maximal_rate_coupled_cliques naive ~universe)))
 
+(* Rates of an [Inc] state against the memoised whole-set answer. *)
+let inc_agrees k st =
+  let module Inc = Wsn_conflict.Kernel.Inc in
+  let members = Inc.members st in
+  match Wsn_conflict.Kernel.max_vector k members with
+  | None -> members = []
+  | Some v -> List.for_all Fun.id (List.mapi (fun p _ -> v.(p) = Inc.max_rate st p) members)
+
+(* A random walk of [add]s and undos (one step in three, after [grow]
+   adds-only steps); after every step the add verdict and the
+   incremental rates must equal the whole-set answer.  Returns the
+   verdict and the largest set reached. *)
+let inc_free_walk k rng ~grow ~steps =
+  let module Inc = Wsn_conflict.Kernel.Inc in
+  let n = Wsn_conflict.Kernel.n_links k in
+  let st = Inc.start k in
+  let ok = ref true and peak = ref 0 in
+  for step = 1 to steps do
+    (if step > grow && Pcg32.next_below rng 3 = 0 && Inc.size st > 0 then Inc.undo st
+     else
+       let l = Pcg32.next_below rng n in
+       let before = Inc.members st in
+       let added = Inc.add st l in
+       let expect = Wsn_conflict.Kernel.max_vector k (before @ [ l ]) in
+       if added <> (expect <> None && not (List.mem l before)) then ok := false);
+    peak := max !peak (Inc.size st);
+    if not (inc_agrees k st) then ok := false
+  done;
+  (!ok, !peak)
+
 let qcheck_kernel_inc_add_undo =
   QCheck.Test.make ~name:"Kernel.Inc add/undo agrees with whole-set queries" ~count:40
     QCheck.(int_bound 10_000)
@@ -423,33 +453,65 @@ let qcheck_kernel_inc_add_undo =
       let model = Model.physical topo in
       match Model.kernel model with
       | None -> false
+      | Some k -> Wsn_conflict.Kernel.n_links k = 0 || fst (inc_free_walk k rng ~grow:0 ~steps:60))
+
+(* Sender/receiver pairs on a jittered 400 m grid: no link joins two
+   pairs, so independent sets grow well past [Inc]'s initial capacity
+   of 8 members, while the other pairs' interference still costs
+   members rate under SINR and the pair's reverse link is a half-duplex
+   rejection. *)
+let sparse_pairs_topology rng ~pairs =
+  let positions = Array.make (2 * pairs) (Point.make 0.0 0.0) in
+  for i = 0 to pairs - 1 do
+    let x = (float_of_int (i mod 5) *. 400.0) +. Pcg32.uniform rng 0.0 60.0 in
+    let y = (float_of_int (i / 5) *. 400.0) +. Pcg32.uniform rng 0.0 60.0 in
+    positions.(2 * i) <- Point.make x y;
+    positions.((2 * i) + 1) <- Point.make (x +. Pcg32.uniform rng 10.0 150.0) y
+  done;
+  Topology.create positions
+
+let qcheck_kernel_inc_growth =
+  (* Walks that build sets past the builder's initial capacity, through
+     [add] and through [add_sorted]; each starts with adds only, so it
+     reaches a maximal set before undos mix in.  The ascending walk
+     runs twice on one kernel: the first pass populates the whole-set
+     memo (misses), the second replays the same sets from it (cache
+     hits). *)
+  QCheck.Test.make ~name:"Kernel.Inc grows past its initial capacity: add/add_sorted/undo = whole-set"
+    ~count:30
+    QCheck.(int_bound 10_000)
+    (fun seed ->
+      let rng = Pcg32.create (Int64.of_int seed) in
+      let topo = sparse_pairs_topology rng ~pairs:20 in
+      match Model.kernel (Model.physical topo) with
+      | None -> false
       | Some k ->
+        let module Inc = Wsn_conflict.Kernel.Inc in
         let n = Wsn_conflict.Kernel.n_links k in
-        if n = 0 then true
-        else begin
-          let module Inc = Wsn_conflict.Kernel.Inc in
+        let free_ok, free_peak = inc_free_walk k rng ~grow:60 ~steps:260 in
+        (* Ascending walk: the next link is one to three ids past the
+           last member; after the growth phase, undo one step in four
+           and whenever the ids run out. *)
+        let steps =
+          List.init 300 (fun i -> (i >= 40 && Pcg32.next_below rng 4 = 0, 1 + Pcg32.next_below rng 3))
+        in
+        let ascending_pass () =
           let st = Inc.start k in
-          let ok = ref true in
-          (* A random walk of adds and undos; after every step the
-             incremental rates must equal the memoised whole-set answer. *)
-          for _ = 1 to 60 do
-            (if Pcg32.next_below rng 3 = 0 && Inc.size st > 0 then Inc.undo st
-             else
-               let l = Pcg32.next_below rng n in
-               let before = Inc.members st in
-               let added = Inc.add st l in
-               let expect = Wsn_conflict.Kernel.max_vector k (before @ [ l ]) in
-               if added <> (expect <> None && not (List.mem l before)) then ok := false);
-            let members = Inc.members st in
-            match Wsn_conflict.Kernel.max_vector k members with
-            | None -> if members <> [] then ok := false
-            | Some v ->
-              List.iteri
-                (fun p _ -> if v.(p) <> Inc.max_rate st p then ok := false)
-                members
-          done;
-          !ok
-        end)
+          List.map
+            (fun (undo, gap) ->
+              let last = if Inc.size st = 0 then -1 else Inc.member st (Inc.size st - 1) in
+              let l = last + gap in
+              (if (undo || l >= n) && Inc.size st > 0 then Inc.undo st
+               else if l < n then ignore (Inc.add_sorted st l : bool));
+              (inc_agrees k st, Inc.members st, List.init (Inc.size st) (Inc.max_rate st)))
+            steps
+        in
+        let misses = ascending_pass () in
+        let hits = ascending_pass () in
+        let asc_peak = List.fold_left (fun acc (_, ms, _) -> max acc (List.length ms)) 0 misses in
+        free_ok
+        && List.for_all (fun (agrees, _, _) -> agrees) misses
+        && misses = hits && free_peak > 8 && asc_peak > 8)
 
 let qcheck_bitset_iter_union =
   (* iter_union must visit exactly the union's members, ascending, each
@@ -476,6 +538,7 @@ let kernel_suite =
     QCheck_alcotest.to_alcotest qcheck_kernel_queries_match_naive;
     QCheck_alcotest.to_alcotest qcheck_kernel_enumeration_matches_naive;
     QCheck_alcotest.to_alcotest qcheck_kernel_inc_add_undo;
+    QCheck_alcotest.to_alcotest qcheck_kernel_inc_growth;
     QCheck_alcotest.to_alcotest qcheck_bitset_iter_union;
   ]
 

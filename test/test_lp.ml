@@ -1066,6 +1066,66 @@ let qcheck_predict_rhs_matches_resolve =
         in
         inside && outside && outside_down && unchanged)
 
+(* The rollback buffer a warm state owns is shared by the perturbation
+   rollback of [reoptimize] and the re-pivots of [predict_rhs] /
+   [predict_cost], and must follow the tableau through capacity
+   growths.  Two states built from one solve and fed the same appends
+   must agree bit for bit on every resolve, though one of them runs
+   out-of-range predictions (save, re-pivot, restore) in between.  The
+   master is a unit-capacity cover (heavily degenerate, so perturbation
+   fires) with 2m + 12 appends: the tableau starts at 2m columns and
+   grows at 2m and at 4m + 8, so every chain crosses two growths. *)
+let qcheck_rollback_buffer_chain =
+  QCheck.Test.make ~name:"rollback buffer: predictions between resolves leave the chain bit-identical"
+    ~count:60
+    (QCheck.make QCheck.Gen.(int_bound 100000))
+    (fun seed ->
+      let rng = Random.State.make [| seed; 0x70b |] in
+      let m = 5 + Random.State.int rng 6 in
+      let a = Matrix.of_rows (Array.init m (fun i -> Array.init m (fun j -> if i = j then 1.0 else 0.0))) in
+      let b = Array.make m 1.0 and c = Array.make m 1.0 in
+      let senses = Array.make m Types.Le in
+      let open_state () =
+        match Tableau.solve_open ~pricing:Tableau.Devex ~perturb:true ~a ~b ~c ~senses () with
+        | _, Some st -> st
+        | _, None -> QCheck.Test.fail_report "cover master: expected a warm state"
+      in
+      let plain = open_state () and probed = open_state () in
+      let identical r1 r2 =
+        match (r1, r2) with
+        | Tableau.Optimal o1, Tableau.Optimal o2 ->
+          Float.equal o1.objective o2.objective
+          && Array.length o1.x = Array.length o2.x
+          && Array.for_all2 Float.equal o1.x o2.x
+          && Array.for_all2 Float.equal o1.duals o2.duals
+        | Tableau.Unbounded, Tableau.Unbounded | Tableau.Infeasible, Tableau.Infeasible -> true
+        | _ -> false
+      in
+      (* Step just past a finite end of the optimality range, so the
+         prediction re-pivots behind the snapshot. *)
+      let outside (lo, hi) = if Float.is_finite hi then hi +. 0.5 else lo -. 0.5 in
+      let ok = ref true in
+      let n_cols = ref m in
+      for _ = 1 to (2 * m) + 12 do
+        let rows = List.init (2 + Random.State.int rng 3) (fun _ -> Random.State.int rng m) in
+        let coeffs = List.map (fun i -> (i, 1.0)) (List.sort_uniq compare rows) in
+        let cost = 1.5 +. Random.State.float rng 2.0 in
+        ignore (Tableau.add_column plain ~coeffs ~cost);
+        ignore (Tableau.add_column probed ~coeffs ~cost);
+        incr n_cols;
+        let dir = [ (Random.State.int rng m, 1.0) ] in
+        let rhs_range = Tableau.rhs_ranging probed ~dir in
+        if Float.is_finite (fst rhs_range) || Float.is_finite (snd rhs_range) then
+          ignore (Tableau.predict_rhs probed ~dir ~t:(outside rhs_range));
+        let col = Random.State.int rng !n_cols in
+        let cost_range = Tableau.cost_ranging probed col in
+        if Float.is_finite (fst cost_range) || Float.is_finite (snd cost_range) then
+          ignore (Tableau.predict_cost probed ~col ~delta:(outside cost_range));
+        if not (identical (Tableau.reoptimize plain) (Tableau.reoptimize probed)) then
+          ok := false
+      done;
+      !ok)
+
 let sensitivity_suite =
   [
     Alcotest.test_case "sensitivity: duals and reduced costs" `Quick sens_duals_and_reduced_costs;
@@ -1074,6 +1134,7 @@ let sensitivity_suite =
     Alcotest.test_case "sensitivity: objective-coefficient prediction" `Quick sens_obj_predict;
     QCheck_alcotest.to_alcotest qcheck_dual_conventions;
     QCheck_alcotest.to_alcotest qcheck_predict_rhs_matches_resolve;
+    QCheck_alcotest.to_alcotest qcheck_rollback_buffer_chain;
   ]
 
 let suite = suite @ parity_suite @ stabilisation_suite @ sensitivity_suite
